@@ -327,9 +327,9 @@ int main() {
   // (c) per-core scaling -----------------------------------------------------
   // N pipeline replicas on N scheduler threads, one shared engine. On real
   // multi-core hardware this is where the per-core replication pays off;
-  // this container exposes ONE hardware core, so the threads time-slice it
-  // and the honest numbers below show overhead, not speedup — the row for
-  // hw_cores records that caveat machine-readably.
+  // with fewer hardware cores than threads the threads time-slice and the
+  // numbers below show overhead, not speedup — the row for hw_cores records
+  // the host's core count machine-readably.
   const unsigned hw_cores = std::thread::hardware_concurrency();
   std::printf("\n(c) per-core scaling (replicated graph, cache 65536, "
               "%u hardware core%s)\n",
@@ -421,7 +421,5 @@ int main() {
 
   if (json.write("BENCH_pipeline.json"))
     std::printf("\nwrote BENCH_pipeline.json\n");
-  std::printf("(single hardware core on this container: the pipeline thread\n"
-              " and the churn writer share it — see DESIGN.md Substitutions)\n");
   return 0;
 }

@@ -17,9 +17,9 @@
 //       that starved writers to ~0 updates/s on the PR 3 reader-preferring
 //       rwlock (old section (d) worked around it with a reader duty cycle;
 //       the epoch path needs no workaround). W batch-committing writer
-//       threads race two flat-out online parallel-engine readers; on this
-//       one-core container updates/s scales with the writers' CPU share,
-//       which is precisely what reader-starvation used to deny them;
+//       threads race two flat-out online parallel-engine readers, and
+//       updates/s must scale with the writers' offered load, which is
+//       precisely what reader-starvation used to deny them;
 //   (e) writer progress vs reader saturation: one saturated writer against
 //       0/2/4 spinning readers — the no-starvation regression row;
 //   (f) replicated-pipeline readers during churn: the reader side is the
@@ -256,7 +256,7 @@ int main() {
   // (c) phase 2: saturated update ceiling — a writer spinning flat out,
   // single-op commits vs batched commits, with one verified reader still
   // racing every swap (its Mpps here records CPU fair-share under writer
-  // saturation on one core, not lock behavior — the reader holds no lock).
+  // saturation, not lock behavior — the reader holds no lock).
   std::printf("\n-- (c2) saturated update ceiling (writer spins, reader verifies) --\n");
   std::printf("%-14s | %12s %12s %7s\n", "commit mode", "updates/s", "rd Mpps", "mism");
   for (const bool batched : {false, true}) {
@@ -374,12 +374,12 @@ int main() {
   // deliver W times the updates while two readers spin flat out, which is
   // exactly what reader-preference and per-op locking used to deny. (The
   // saturated single-writer ceiling — ~10-100x any row here — is section
-  // (c2)'s number; at writer saturation on one core, adding writers can
-  // only split the same CPU, so a saturated scaling row would measure the
-  // scheduler, not the engine.)
+  // (c2)'s number; writers serialize on the engine's one writer lock, so a
+  // saturated scaling row would measure lock handoff and the host's core
+  // count, not absorption.)
   std::printf("\n-- (d) multi-writer offered-load absorption + saturated parallel readers --\n");
-  std::printf("%-8s %-7s | %12s %10s %12s %7s %6s\n", "writers", "shards",
-              "updates/s", "vs 1w", "lookups", "swaps", "mism");
+  std::printf("%-8s | %12s %10s %12s %7s %6s\n", "writers", "updates/s", "vs 1w",
+              "lookups", "swaps", "mism");
   const RuleSet mw_base = generate_classbench(
       AppClass::kAcl, 1, std::min<size_t>(s.large_n, 30'000), 61);
   const StableCore mw_core = make_stable_core(mw_base, s.trace_len / 2, 62);
@@ -390,7 +390,6 @@ int main() {
     mcfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
     mcfg.base.min_iset_coverage = 0.05;
     mcfg.retrain_threshold = 0.05;
-    mcfg.update_shards = writers;
     OnlineNuevoMatch mw{mcfg};
     mw.build(mw_base);
     const uint64_t g0 = mw.generations();
@@ -425,8 +424,8 @@ int main() {
       wr.emplace_back([&, w] {
         // Deficit-paced controller: ~25k offered ops/s per writer. The
         // writer works back-to-back while behind its target curve and
-        // sleeps only when ahead, so scheduler wakeup latency on the
-        // oversubscribed core cannot silently shrink the offered load.
+        // sleeps only when ahead, so scheduler wakeup latency on an
+        // oversubscribed host cannot silently shrink the offered load.
         constexpr double kOfferedPerWriter = 25'000.0;
         Rng wrng{static_cast<uint64_t>(100 + w)};
         std::deque<uint32_t> backlog;
@@ -474,8 +473,7 @@ int main() {
     if (writers == 1) upd_1w = upd_rate;
     const uint64_t mw_swaps = mw.generations() - g0;
     mw_bad_total += mw_bad.load();
-    std::printf("%-8d %-7d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers,
-                mw.update_shards(), upd_rate,
+    std::printf("%-8d | %12.0f %9.2fx %12llu %7llu %6llu\n", writers, upd_rate,
                 upd_1w > 0.0 ? upd_rate / upd_1w : 1.0,
                 static_cast<unsigned long long>(mw_lookups.load()),
                 static_cast<unsigned long long>(mw_swaps),
@@ -484,7 +482,6 @@ int main() {
     j.row()
         .set("section", "multi_writer")
         .set("writers", static_cast<size_t>(writers))
-        .set("shards", static_cast<size_t>(mw.update_shards()))
         .set("rules", mw_base.size())
         .set("updates_per_sec", upd_rate)
         .set("scaling_vs_1w", upd_1w > 0.0 ? upd_rate / upd_1w : 1.0)
@@ -561,10 +558,6 @@ int main() {
         .set("lookups_per_sec", static_cast<double>(pr_lookups.load()) / p_secs)
         .set("mismatches", static_cast<size_t>(pr_bad.load()));
   }
-  std::printf("note: one hardware core on this container — saturated threads "
-              "timeshare, so\nthe scaling rows measure CPU-share recovery (the "
-              "thing reader-preference used\nto deny writers); multi-core hosts "
-              "add real concurrency on top\n");
 
   // (f) replicated-pipeline readers during churn: the reader side is the
   // REAL dataplane — a 2-replica TraceSource -> FlowCache -> Classifier ->

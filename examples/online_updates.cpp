@@ -13,7 +13,9 @@
 // a burst costs one writer-lock hold and one copy-on-write commit total,
 // not one per rule. Lookups are served two ways at once: scalar match()
 // calls AND the online BatchParallelEngine (per-batch generation pinning) —
-// the multi-core serving path.
+// the multi-core serving path. After the last swap the answers over the
+// whole trace are checked against a linear-search oracle built over the
+// final live rule-set; any mismatch fails the run (exit 1).
 //
 //   $ ./online_updates [n_rules]        (default 30000)
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "classbench/generator.hpp"
+#include "classifiers/linear.hpp"
 #include "common/rng.hpp"
 #include "nuevomatch/online.hpp"
 #include "nuevomatch/parallel.hpp"
@@ -77,12 +80,10 @@ int main(int argc, char** argv) {
   cfg.base.remainder_factory = [] { return std::make_unique<TupleMerge>(); };
   cfg.base.min_iset_coverage = 0.05;
   cfg.retrain_threshold = 0.08;  // retrain when 8% of rules have migrated
-  cfg.update_shards = 4;         // multi-writer update path (one here, but
-                                 // the journal/swap machinery is identical)
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
-  std::printf("built: %zu rules, generation %llu, %d update shards\n", nm.size(),
-              static_cast<unsigned long long>(nm.generations()), nm.update_shards());
+  std::printf("built: %zu rules, generation %llu\n", nm.size(),
+              static_cast<unsigned long long>(nm.generations()));
 
   // The multi-core serving path: per-batch generation pinning means this
   // engine keeps answering at full speed across every swap below.
@@ -95,6 +96,7 @@ int main(int argc, char** argv) {
   size_t total_updates = 0;
   uint32_t next_id = 1'000'000;
   std::unordered_set<uint32_t> gone;  // victims of earlier rounds
+  std::vector<Rule> inserted;         // every rule pushed by insert_batch
   for (int round = 1; round <= 8; ++round) {
     // Controller pushes a round of matching-set changes as two batched
     // commits: erase_batch the victims, insert_batch the rewritten rules.
@@ -116,6 +118,7 @@ int main(int argc, char** argv) {
       moved.push_back(r);
     }
     total_updates += nm.erase_batch(victims) + nm.insert_batch(moved);
+    inserted.insert(inserted.end(), moved.begin(), moved.end());
     std::printf("%-8d %-10zu %10.2f %10.2f %11.1f%% %10s %6llu\n", round,
                 total_updates, mpps(nm, trace), mpps_parallel(engine, trace),
                 nm.absorption() * 100, nm.retrain_in_progress() ? "bg" : "-",
@@ -127,7 +130,26 @@ int main(int argc, char** argv) {
               "(%.2f parallel)\n",
               static_cast<unsigned long long>(nm.generations()),
               nm.absorption() * 100, mpps(nm, trace), mpps_parallel(engine, trace));
-  std::printf("every lookup stayed exact throughout (see tests/test_updates.cpp "
-              "and tests/test_churn.cpp)\n");
-  return 0;
+
+  // The final live rule-set: the original rules minus every victim, plus
+  // every inserted rule. The online engine must agree with a linear scan
+  // over exactly that set on every packet of the trace.
+  std::vector<Rule> live;
+  live.reserve(rules.size() - gone.size() + inserted.size());
+  for (const Rule& r : rules) {
+    if (!gone.contains(r.id)) live.push_back(r);
+  }
+  live.insert(live.end(), inserted.begin(), inserted.end());
+  LinearSearch oracle;
+  oracle.build(live);
+  std::vector<MatchResult> got(trace.size());
+  nm.match_batch(trace, got);
+  size_t mismatches = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (got[i].rule_id != oracle.match(trace[i]).rule_id) ++mismatches;
+  }
+  std::printf("oracle check: %zu of %zu lookups mismatched the linear search "
+              "over the %zu live rules\n",
+              mismatches, trace.size(), live.size());
+  return mismatches == 0 ? 0 : 1;
 }

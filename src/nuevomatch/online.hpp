@@ -12,11 +12,11 @@
 //     retrains a fresh NuevoMatch on a snapshot of the rule-set (reusing
 //     trained models for iSets whose rule arrays are unchanged) and
 //     atomically swaps it in without stalling match()/match_batch();
-//   * updates that arrive while a retrain is running are journaled and
-//     replayed onto the fresh generation just before the swap, so no update
-//     is ever lost to the race between snapshot and publication;
-//   * the journal is sharded by rule-id hash (`update_shards`) with
-//     per-shard atomic op counters (serializer v3 telemetry).
+//   * updates that arrive while a retrain is running are appended to one
+//     journal in the order they are applied and replayed onto the fresh
+//     generation just before the swap, so no update is ever lost to the
+//     race between snapshot and publication. One atomic applied-op counter
+//     (update_ops(), carried by serializer v3 checkpoints) tallies them.
 //
 // Concurrency model (see DESIGN.md "Update path" for the full rationale).
 // The read path is WAIT-FREE between swaps — no lock, no shared_ptr
@@ -39,16 +39,13 @@
 //     the successor layer, publishes it with one release store, and
 //     retires the predecessor through epoch reclamation: it is freed only
 //     once every reader epoch has advanced past the commit;
-//   * writers serialize on one writer-only mutex (the generation lock of
-//     PR 3, now never touched by the data path). A batch commit takes it
-//     once, allocates its global op-sequence range with one atomic
-//     fetch_add, fans journal entries out to the id-hashed shards (plain
-//     vectors — the writer lock already serializes writers, so the
-//     per-shard mutexes of PR 3 are gone), and performs ONE copy-on-write
-//     publication for the whole burst;
+//   * writers serialize on one writer-only mutex (the generation lock, never
+//     touched by the data path). A batch commit takes it once, appends its
+//     accepted ops to the journal in apply order, and performs ONE
+//     copy-on-write publication for the whole burst;
 //   * the retrain worker snapshots the logical rule-set under the writer
 //     lock (one composition pass), trains with no locks held, then
-//     reacquires the writer lock, replays the journals, and publishes the
+//     reacquires the writer lock, replays the journal, and publishes the
 //     fresh generation the same way — readers migrate at their next epoch
 //     enter, and the superseded generation is reclaimed once the last
 //     straggler exits.
@@ -80,9 +77,8 @@
 
 namespace nuevomatch {
 
-/// Writer-side behavior when an insert would push the churn delta or the
-/// retrain journal past its configured cap (OnlineConfig::max_churn_rules /
-/// max_journal_ops).
+/// Writer-side behavior when an insert would push the churn delta past its
+/// configured cap (OnlineConfig::max_churn_rules).
 enum class OverloadPolicy : uint8_t {
   /// Reject the overflowing inserts: insert() returns false, insert_batch()
   /// accepts a prefix; every shed op is counted in health().shed_ops. The
@@ -90,8 +86,8 @@ enum class OverloadPolicy : uint8_t {
   /// swap drains the delta.
   kShed,
   /// Block the writer (lock-free readers are unaffected) until a commit
-  /// frees capacity — a swap resets the delta, an erase shrinks it, a
-  /// journal drain empties the shards — or `overload_block_timeout_ms`
+  /// frees capacity — a swap resets the delta, an erase shrinks it — or
+  /// `overload_block_timeout_ms`
   /// elapses, after which the remaining ops are shed as above. Under this
   /// policy one insert_batch() may commit in several slices as capacity
   /// frees up, so burst-atomic visibility is NOT guaranteed when the cap
@@ -119,13 +115,6 @@ struct OnlineConfig {
   /// schedules retrains itself via retrain_now() (e.g. off-peak).
   bool auto_retrain = true;
 
-  /// Journal/telemetry shards: journal entries hash by rule-id onto
-  /// `update_shards` journal+counter slots (serializer v3 round-trips the
-  /// per-shard counters). Writers serialize on the writer lock regardless —
-  /// the shards exist for deterministic replay bookkeeping and checkpoint
-  /// compatibility, not writer-side locking. Clamped to [1, 256].
-  int update_shards = 4;
-
   // --- fault tolerance (DESIGN.md "Failure model") -------------------------
   /// Consecutive retrain failures after which the engine enters *degraded*
   /// mode: it keeps serving the old generation + churn delta correctly, but
@@ -135,20 +124,15 @@ struct OnlineConfig {
   /// Exponential-backoff schedule between failed retrain attempts: attempt
   /// k (1-based) retries after jitter(min(backoff_initial_ms << (k-1),
   /// backoff_max_ms)), where jitter picks uniformly from [d/2, d] out of a
-  /// stream seeded with `backoff_seed` — deterministic for a given seed, so
-  /// fault drills replay exactly.
+  /// fixed-seed stream — deterministic, so fault drills replay exactly.
   uint32_t backoff_initial_ms = 10;
   uint32_t backoff_max_ms = 2000;
-  uint64_t backoff_seed = 0x9E3779B9u;
 
   // --- overload control ----------------------------------------------------
   /// Cap on the churn delta (update-layer insert count). 0 = unbounded
   /// (the pre-PR-6 behavior). Erases always pass — they shrink state.
   size_t max_churn_rules = 0;
-  /// Cap on journal depth (ops queued across all shards while a retrain is
-  /// in flight). 0 = unbounded. Only inserts are capped, as above.
-  size_t max_journal_ops = 0;
-  /// What a writer does when an insert hits either cap.
+  /// What a writer does when an insert hits the cap.
   OverloadPolicy overload_policy = OverloadPolicy::kShed;
   /// kBlock only: how long a writer waits for capacity before shedding.
   uint32_t overload_block_timeout_ms = 100;
@@ -156,10 +140,12 @@ struct OnlineConfig {
 
 /// One consistent-enough snapshot of the engine's fault/overload state —
 /// the operator surface the pipeline's Classifier element and the churn
-/// harness consume. Counters are sampled individually (relaxed atomics plus
-/// one short writer/worker lock hold each), so a snapshot taken mid-commit
-/// can mix adjacent states; every field is monotone or self-describing, so
-/// that is benign for health reporting.
+/// harness consume. Writer-side counters are sampled individually (relaxed
+/// atomics plus one short writer-lock hold), so a snapshot taken mid-commit
+/// can mix adjacent states; every such field is monotone or self-describing,
+/// so that is benign for health reporting. The worker-side fields (degraded,
+/// failure counts, retrain_pending, backoff, last_error) are read in one
+/// worker-lock hold and always describe the same retrain cycle.
 struct EngineHealth {
   /// True after max_retrain_failures consecutive retrain failures (or an
   /// initial-build fallback): serving continues on the old generation +
@@ -217,11 +203,9 @@ class OnlineNuevoMatch final : public Classifier {
   /// Install an already-built classifier as the live generation without
   /// retraining (the serializer's load path). Same caveats as build().
   void adopt(NuevoMatch nm);
-  /// Serializer v3 load path: adopt + reinstate the per-shard update
-  /// counters captured at save time. A checkpoint taken with a different
-  /// shard count redistributes evenly — the total is the contract, the
-  /// split is telemetry.
-  void adopt(NuevoMatch nm, std::span<const uint64_t> shard_ops);
+  /// Serializer v3 load path: adopt + reinstate the applied-op total
+  /// captured at save time (update_ops() resumes from `ops`).
+  void adopt(NuevoMatch nm, uint64_t ops);
 
   // --- data path (wait-free; safe from any number of threads) -------------
   [[nodiscard]] MatchResult match(const Packet& p) const override;
@@ -290,8 +274,8 @@ class OnlineNuevoMatch final : public Classifier {
   [[nodiscard]] bool supports_updates() const override { return true; }
   bool insert(const Rule& r) override;
   bool erase(uint32_t rule_id) override;
-  /// Batched writer commits: one writer-lock acquisition, one op-sequence
-  /// range, ONE copy-on-write publication for the whole burst — the
+  /// Batched writer commits: one writer-lock acquisition and ONE
+  /// copy-on-write publication for the whole burst — the
   /// amortization that makes bulk controller pushes cheap. Returns the
   /// number of accepted ops (duplicates / unknown ids are skipped, exactly
   /// like their scalar counterparts). Visibility is batch-atomic for
@@ -410,17 +394,13 @@ class OnlineNuevoMatch final : public Classifier {
     return band_marks_[static_cast<size_t>(band)].load(std::memory_order_acquire);
   }
 
-  // --- shard introspection -------------------------------------------------
-  [[nodiscard]] int update_shards() const noexcept {
-    return static_cast<int>(shards_.size());
+  /// Applied updates since the last build()/adopt() (telemetry; serialized
+  /// by save_online so churn accounting survives a checkpoint — build() and
+  /// plain adopt() reset it to zero, the checkpoint-loading adopt()
+  /// reinstates the saved total). Lock-free.
+  [[nodiscard]] uint64_t update_ops() const noexcept {
+    return update_ops_.load(std::memory_order_relaxed);
   }
-  /// Applied updates routed through each shard since the last build()/
-  /// adopt() (telemetry; serialized by save_online so churn accounting
-  /// survives a checkpoint — build() and plain adopt() reset to zero, the
-  /// checkpoint-loading adopt() reinstates the saved counts). Lock-free.
-  [[nodiscard]] std::vector<uint64_t> shard_op_counts() const;
-  /// Total applied updates across all shards.
-  [[nodiscard]] uint64_t update_ops() const;
 
   // --- Classifier plumbing ------------------------------------------------
   [[nodiscard]] size_t memory_bytes() const override;
@@ -480,17 +460,8 @@ class OnlineNuevoMatch final : public Classifier {
   struct Op {
     enum class Kind : uint8_t { kInsert, kErase };
     Kind kind;
-    Rule rule;     // kInsert payload
-    uint32_t id;   // kErase payload
-    uint64_t seq;  // global apply order (assigned under the writer lock)
-  };
-
-  /// One journal/telemetry shard. The journal vector is guarded by the
-  /// writer lock; the op counter is atomic so shard_op_counts() (and the
-  /// serializer) never block behind a writer.
-  struct Shard {
-    std::vector<Op> journal;
-    std::atomic<uint64_t> ops{0};
+    Rule rule;    // kInsert payload
+    uint32_t id;  // kErase payload
   };
 
   /// Where a live rule-id currently resides (writer-side routing state).
@@ -502,13 +473,6 @@ class OnlineNuevoMatch final : public Classifier {
     Loc loc;
     int32_t priority;
   };
-
-  [[nodiscard]] Shard& shard_for(uint32_t rule_id) const {
-    // Fibonacci multiplicative hash: controller-assigned sequential ids
-    // spread across shards instead of marching through them in lockstep.
-    const uint64_t h = (static_cast<uint64_t>(rule_id) * 0x9E3779B97F4A7C15ull) >> 32;
-    return *shards_[h % shards_.size()];
-  }
 
   // Writer-side commit machinery; all *_locked functions require wmu_.
   bool insert_locked(const Rule& r, bool& churn_dirty);
@@ -523,9 +487,7 @@ class OnlineNuevoMatch final : public Classifier {
   void journal_locked(Op op);
   [[nodiscard]] std::shared_ptr<const Classifier> rebuild_base_locked() const;
   [[nodiscard]] std::vector<Rule> compose_rules_locked() const;
-  void install_generation_locked(std::shared_ptr<Generation> fresh,
-                                 const std::vector<uint64_t>* shard_ops,
-                                 bool reset_counters);
+  void install_generation_locked(std::shared_ptr<Generation> fresh);
 
   /// How a retrain cycle ended. kFailed feeds the retry/backoff/degraded
   /// machinery; kCancelled (a concurrent build()/adopt() superseded the
@@ -539,11 +501,10 @@ class OnlineNuevoMatch final : public Classifier {
   /// install already closed the journal (the cycle was moot, not broken).
   [[nodiscard]] CycleOutcome abandon_cycle(const char* what);
   /// build()/adopt(): cancel pending retrains, install `fresh` as the live
-  /// generation and reset the whole update path (journals, layer, counters —
-  /// per-shard op counters set to `shard_ops` or zeroed when null; failure/
-  /// backoff state cleared — a fresh install is a clean slate).
-  void publish_fresh(std::shared_ptr<Generation> fresh,
-                     const std::vector<uint64_t>* shard_ops = nullptr);
+  /// generation and reset the whole update path (journal, layer, counters —
+  /// the applied-op counter set to `ops`; failure/backoff state cleared — a
+  /// fresh install is a clean slate).
+  void publish_fresh(std::shared_ptr<Generation> fresh, uint64_t ops = 0);
   void request_retrain(bool forced);
 
   /// How many more inserts overload control admits right now (SIZE_MAX when
@@ -553,7 +514,7 @@ class OnlineNuevoMatch final : public Classifier {
   /// (the admitting slice re-checks authoritatively under wmu_).
   [[nodiscard]] bool approx_room() const noexcept;
   /// Wake writers blocked on overload capacity. Call WITHOUT wmu_ held,
-  /// after a commit that may have freed capacity (swap, erase, drain).
+  /// after a commit that may have freed capacity (swap, erase).
   void notify_overload() const;
 
   OnlineConfig cfg_;
@@ -593,16 +554,20 @@ class OnlineNuevoMatch final : public Classifier {
   size_t built_size_ = 0;   // rules the live index was trained on
   size_t migrated_ = 0;     // inserts absorbed since the last swap
   bool journal_open_ = false;
-  std::atomic<uint64_t> op_seq_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Ops applied while a retrain is in flight, in apply order (appended
+  /// under wmu_, so append order IS apply order — replay needs no sort).
+  std::vector<Op> journal_;
+  /// Applied updates since the last build()/adopt(); written under wmu_,
+  /// read lock-free by update_ops() and the serializer.
+  std::atomic<uint64_t> update_ops_{0};
 
   // --- fault/overload telemetry (atomics: health() reads them lock-free) --
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> retrain_failures_{0};        // consecutive
   std::atomic<uint64_t> retrain_failures_total_{0};  // lifetime
   std::atomic<uint64_t> shed_ops_{0};
-  /// Mirrors the shard journals' total size (maintained under wmu_, read by
-  /// approx_room()/health() without it).
+  /// Mirrors journal_.size() (maintained under wmu_, read by health()
+  /// without it).
   std::atomic<size_t> journal_depth_{0};
   /// Mirrors the published churn delta's size, same discipline.
   std::atomic<size_t> churn_size_{0};
@@ -627,7 +592,7 @@ class OnlineNuevoMatch final : public Classifier {
   bool retrain_retry_ = false;
   uint64_t backoff_ms_ = 0;
   std::chrono::steady_clock::time_point backoff_until_{};
-  Rng backoff_rng_{1};
+  Rng backoff_rng_;
   std::string last_error_;
   std::thread worker_;
 };

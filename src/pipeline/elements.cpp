@@ -217,36 +217,28 @@ ClassifierElement::ClassifierElement(const std::string& rules_path, Options opts
   cfg.base.min_iset_coverage = 0.05;  // §5.1 floor vs TupleMerge-class engines
   cfg.retrain_threshold = opts.retrain_threshold;
   cfg.auto_retrain = opts.auto_retrain;
-  cfg.update_shards = opts.update_shards;
   auto engine = std::make_shared<OnlineNuevoMatch>(std::move(cfg));
   engine->build(rules);
   attach(std::move(engine));
   set_actions(rules);
-  want_parallel_ = opts.parallel;
 }
 
 void ClassifierElement::attach(std::shared_ptr<OnlineNuevoMatch> engine) {
   online_ = std::move(engine);
   scalar_.reset();
-  parallel_.reset();
 }
 
 void ClassifierElement::attach_scalar(
     std::shared_ptr<const nuevomatch::Classifier> engine) {
   scalar_ = std::move(engine);
   online_.reset();
-  parallel_.reset();
 }
 
 void ClassifierElement::adopt_shared(const ClassifierElement& proto) {
   online_ = proto.online_;  // shared_ptr copy: N elements, ONE engine
   scalar_ = proto.scalar_;
-  parallel_.reset();
   actions_ = proto.actions_;
-  want_parallel_ = proto.want_parallel_;
 }
-
-void ClassifierElement::enable_parallel() { want_parallel_ = true; }
 
 void ClassifierElement::set_actions(std::span<const Rule> rules) {
   actions_.clear();
@@ -265,11 +257,6 @@ void ClassifierElement::initialize(Graph&) {
     throw std::runtime_error("Classifier element '" + name() +
                              "' has no engine (config rule file missing and "
                              "no attach() before initialize)");
-  if (want_parallel_) {
-    if (online_ == nullptr)
-      throw std::runtime_error("Classifier 'parallel' needs an online engine");
-    parallel_ = std::make_unique<BatchParallelEngine>(*online_);
-  }
 }
 
 void ClassifierElement::process(Burst& b) {
@@ -278,9 +265,7 @@ void ClassifierElement::process(Burst& b) {
   // or a cold one) classifies straight out of / into the burst arrays; a
   // partially-resolved burst compacts the miss lanes first.
   const auto classify = [&](std::span<const Packet> in, std::span<MatchResult> out) {
-    if (parallel_ != nullptr) {
-      parallel_->classify(in, out);
-    } else if (online_ != nullptr) {
+    if (online_ != nullptr) {
       online_->match_batch(in, out);
     } else {
       for (size_t k = 0; k < in.size(); ++k) out[k] = scalar_->match(in[k]);
@@ -359,10 +344,9 @@ std::string ClassifierElement::report() const {
                          static_cast<unsigned long long>(
                              bursts_.load(std::memory_order_relaxed)));
   if (online_ != nullptr) {
-    line += fmt(" (online engine: %llu generations, %llu updates%s)",
+    line += fmt(" (online engine: %llu generations, %llu updates)",
                 static_cast<unsigned long long>(online_->generations()),
-                static_cast<unsigned long long>(online_->update_ops()),
-                parallel_ != nullptr ? ", two-core" : "");
+                static_cast<unsigned long long>(online_->update_ops()));
     // The operator surface: a healthy engine reports one word, an unhealthy
     // one reports exactly what is wrong (the reason a run's numbers are off
     // should be in the run's own report, not in a debugger).
@@ -555,22 +539,16 @@ std::unique_ptr<Element> make_flow_cache(const std::vector<std::string>& a) {
 }
 
 std::unique_ptr<Element> make_classifier(const std::vector<std::string>& a) {
-  if (a.empty())
-    usage("Classifier(rules.file[, parallel][, manual][, threshold=X][, shards=N])");
+  if (a.empty()) usage("Classifier(rules.file[, manual][, threshold=X])");
   ClassifierElement::Options opts;
   for (size_t i = 1; i < a.size(); ++i) {
     const std::string& arg = a[i];
-    if (arg == "parallel") {
-      opts.parallel = true;
-    } else if (arg == "manual") {
+    if (arg == "manual") {
       opts.auto_retrain = false;
     } else if (arg.rfind("threshold=", 0) == 0) {
       opts.retrain_threshold = to_double(arg.substr(10), "retrain threshold");
-    } else if (arg.rfind("shards=", 0) == 0) {
-      opts.update_shards =
-          static_cast<int>(to_size(arg.substr(7), "update shards"));
     } else {
-      usage("unknown Classifier option (want parallel, manual, threshold=, shards=)");
+      usage("unknown Classifier option (want manual, threshold=)");
     }
   }
   // Replica parse in progress: options were validated above, but the engine

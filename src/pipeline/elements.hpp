@@ -4,16 +4,15 @@
 //   TraceSource(rules.file, n[, kind])    synthetic trace over a rule file;
 //                                         kind: uniform | zipf[:alpha] | caida
 //   FlowCache(capacity[, shards])         update-coherent exact-match cache
-//   Classifier(rules.file[, parallel][, manual][, threshold=X][, shards=N])
+//   Classifier(rules.file[, manual][, threshold=X])
 //                                         OnlineNuevoMatch slow path (32-pkt
 //                                         match_batch bursts). Options:
-//                                         `parallel` routes through
-//                                         BatchParallelEngine; `manual`
-//                                         disables auto-retrain (swaps only
-//                                         via retrain_now()); `threshold=X`
-//                                         sets the absorption retrain
-//                                         threshold; `shards=N` the journal
-//                                         shard count
+//                                         `manual` disables auto-retrain
+//                                         (swaps only via retrain_now());
+//                                         `threshold=X` sets the absorption
+//                                         retrain threshold. Multi-core
+//                                         serving replicates the whole graph
+//                                         (pipeline/replicate.hpp)
 //   Dispatch(name0, name1, ...)           route on the matched rule's action
 //                                         (action i -> port i; miss or
 //                                         out-of-range -> last port)
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "nuevomatch/online.hpp"
-#include "nuevomatch/parallel.hpp"
 #include "pipeline/element.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace.hpp"
@@ -121,10 +119,8 @@ class FlowCacheElement final : public Element {
 class ClassifierElement final : public Element {
  public:
   struct Options {
-    bool parallel = false;        ///< two-core BatchParallelEngine path
     double retrain_threshold = 0.05;
     bool auto_retrain = true;
-    int update_shards = 4;
   };
 
   /// Empty shell: attach an engine before Graph::initialize().
@@ -143,7 +139,7 @@ class ClassifierElement final : public Element {
   /// share one). Call set_actions() too if Dispatch routing matters.
   void attach(std::shared_ptr<OnlineNuevoMatch> engine);
   /// Become another Classifier's sibling: share its engine (online or
-  /// scalar), action map, and parallel flag. The replica-graph fan-in —
+  /// scalar) and action map. The replica-graph fan-in —
   /// ReplicatedGraph::parse builds replica 0 normally (one training run)
   /// and every other replica adopts, all N feeding one engine through the
   /// epoch domain.
@@ -152,7 +148,6 @@ class ClassifierElement final : public Element {
   /// slow path: per-packet match(), no coherence stamps (the engine is
   /// immutable, so a constant stamp IS coherent).
   void attach_scalar(std::shared_ptr<const nuevomatch::Classifier> engine);
-  void enable_parallel();
 
   /// The online engine, or null when a scalar engine is attached.
   [[nodiscard]] OnlineNuevoMatch* online() const noexcept { return online_.get(); }
@@ -172,8 +167,6 @@ class ClassifierElement final : public Element {
 
   std::shared_ptr<OnlineNuevoMatch> online_;
   std::shared_ptr<const nuevomatch::Classifier> scalar_;
-  std::unique_ptr<BatchParallelEngine> parallel_;
-  bool want_parallel_ = false;
   std::unordered_map<uint32_t, int32_t> actions_;
   // Relaxed atomics: incremented by the replica's worker thread, read by
   // reports/telemetry while firing (was a torn read as plain u64).

@@ -252,15 +252,17 @@ std::vector<uint8_t> save_online(const OnlineNuevoMatch& online) {
   ByteWriter w;
   w.put_tag(kOnlineMagic);
   w.put_u32(kFormatVersion);
-  // v3: the sharded update path's state. The counters are lock-free atomic
-  // reads; the classifier body is the writer-excluded composed view (see
-  // with_stable_view) — two consistent sections, not one atomic cut: under
-  // live churn ops can land between the counter read and the body
-  // snapshot, so the counters may run a few ops BEHIND the body (harmless —
-  // they are telemetry; quiesce callers who need an exact pairing).
-  const std::vector<uint64_t> counts = online.shard_op_counts();
-  w.put_u32(static_cast<uint32_t>(counts.size()));
-  for (const uint64_t c : counts) w.put_u64(c);
+  // v3: the update path's applied-op total, as a one-element counter list
+  // (the frame is a u32 count + that many u64s; earlier writers stored one
+  // counter per journal shard, and load_online sums however many it reads).
+  // The counter is a lock-free atomic read; the classifier body is the
+  // writer-excluded composed view (see with_stable_view) — two consistent
+  // sections, not one atomic cut: under live churn ops can land between the
+  // counter read and the body snapshot, so the counter may run a few ops
+  // BEHIND the body (harmless — it is telemetry; quiesce callers who need
+  // an exact pairing).
+  w.put_u32(1);
+  w.put_u64(online.update_ops());
   online.with_stable_view(
       [&](const NuevoMatch& nm) { put_classifier_body(w, nm); });
   return std::move(w).finish();
@@ -272,14 +274,14 @@ std::unique_ptr<OnlineNuevoMatch> load_online(std::span<const uint8_t> bytes,
   ByteReader r{bytes};
   if (!r.check_crc()) return nullptr;
   if (!r.expect_tag(kOnlineMagic) || r.get_u32() != kFormatVersion) return nullptr;
-  const uint32_t n_shards = r.get_u32();
-  if (!r.can_hold(n_shards, 8)) return nullptr;
-  std::vector<uint64_t> counts(n_shards);
-  for (uint64_t& c : counts) c = r.get_u64();
+  const uint32_t n_counters = r.get_u32();
+  if (!r.can_hold(n_counters, 8)) return nullptr;
+  uint64_t ops = 0;
+  for (uint32_t i = 0; i < n_counters; ++i) ops += r.get_u64();
   auto nm = get_classifier_body(r, cfg.base);
   if (!nm || !r.at_end()) return nullptr;
   auto online = std::make_unique<OnlineNuevoMatch>(std::move(cfg));
-  online->adopt(std::move(*nm), counts);
+  online->adopt(std::move(*nm), ops);
   return online;
 }
 

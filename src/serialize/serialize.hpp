@@ -58,8 +58,8 @@ inline constexpr uint32_t kFormatVersion = 3;
                                                         NuevoMatchConfig cfg);
 
 /// --- online classifier -------------------------------------------------------
-/// Checkpoint the live view of an online classifier plus its sharded
-/// update-path state (shard count and per-shard applied-op counters). The
+/// Checkpoint the live view of an online classifier plus its update-path
+/// state (the applied-op total, written as a one-element counter list). The
 /// classifier body is the epoch engine's *composed* stable view — the
 /// frozen generation with the copy-on-write update layer folded back in
 /// (churn inserts in the remainder rule-set, base-remainder deletions
@@ -70,10 +70,10 @@ inline constexpr uint32_t kFormatVersion = 3;
 /// OnlineNuevoMatch::with_stable_view), so the bytes are a consistent view
 /// and the call is bounded even under sustained updates.
 [[nodiscard]] std::vector<uint8_t> save_online(const OnlineNuevoMatch& nm);
-/// Restore into a fresh online classifier: the journals start empty, the
-/// absorption and per-shard op counters resume where the checkpoint left
-/// them (a different cfg.update_shards redistributes counts, preserving the
-/// total — the id→shard map is recomputed from the hash anyway). Returns
+/// Restore into a fresh online classifier: the journal starts empty, the
+/// absorption and the applied-op total resume where the checkpoint left
+/// them (a frame with several counters — one per journal shard, as older
+/// writers stored them — resumes from their sum). Returns
 /// nullptr on malformed input (the class is not movable, so this is the one
 /// loader that hands back a pointer instead of an optional).
 [[nodiscard]] std::unique_ptr<OnlineNuevoMatch> load_online(

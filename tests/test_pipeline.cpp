@@ -252,6 +252,12 @@ TEST(GraphParse, NegativeSuiteDiagnosesEveryMalformation) {
   expect_parse_error("a :: Counter();\na;", 2, "statement has no effect");
   expect_parse_error("a :: Counter();\n-> Sink();", 2,
                      "expected an identifier");
+  // Removed Classifier options are diagnosed, not silently ignored: the
+  // option scan runs before the rule file is opened.
+  expect_parse_error("a :: Counter();\nc :: Classifier(x.rules, parallel);", 2,
+                     "unknown Classifier option");
+  expect_parse_error("a :: Counter();\nc :: Classifier(x.rules, shards=4);", 2,
+                     "unknown Classifier option");
   // A config-built cycle is rejected at initialize() (topology, not
   // syntax, so no line number — assert the named-element message instead).
   Graph g = Graph::parse(

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "nuevomatch/nuevomatch.hpp"
 #include "nuevomatch/online.hpp"
+#include "serialize/bytes.hpp"
 #include "serialize/serialize.hpp"
 #include "trace/trace.hpp"
 #include "trace/verification.hpp"
@@ -329,13 +330,13 @@ TEST(OnlineUpdates, SerializeRoundTripAfterEraseThenReinsertSameId) {
   EXPECT_FALSE(back->erase(3));
 }
 
-TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
-  // v3: the online frame is shard-aware — per-shard applied-op counters
-  // round-trip, and a checkpoint loaded into a different shard count keeps
-  // the aggregate (the id→shard map is recomputed from the hash anyway).
+TEST(OnlineUpdates, SerializeRoundTripCarriesUpdateOps) {
+  // v3: the online frame carries the applied-op total as a u32 counter
+  // count followed by that many u64s. The writer stores one counter; a
+  // frame from an engine that kept one counter per journal shard (4 here)
+  // must still load, resuming from their sum, with unchanged answers.
   const RuleSet rules = generate_classbench(AppClass::kAcl, 1, 900, 51);
-  OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0);
-  cfg.update_shards = 4;
+  const OnlineConfig cfg = make_online_cfg(/*threshold=*/1.0);
   OnlineNuevoMatch nm{cfg};
   nm.build(rules);
 
@@ -352,24 +353,38 @@ TEST(OnlineUpdates, SerializeRoundTripCarriesShardOpCounters) {
   const auto bytes = serialize::save_online(nm);
   auto back = serialize::load_online(bytes, cfg);
   ASSERT_NE(back, nullptr);
-  EXPECT_EQ(back->update_shards(), 4);
-  EXPECT_EQ(back->shard_op_counts(), nm.shard_op_counts())
-      << "same shard count must restore counters verbatim";
   EXPECT_EQ(back->update_ops(), 80u);
 
-  OnlineConfig resharded = make_online_cfg(/*threshold=*/1.0);
-  resharded.update_shards = 7;
-  auto re = serialize::load_online(bytes, resharded);
-  ASSERT_NE(re, nullptr);
-  EXPECT_EQ(re->update_shards(), 7);
-  EXPECT_EQ(re->update_ops(), 80u) << "resharding must preserve the total";
+  // Frame layout: "NMOL" | u32 version | u32 n | n x u64 | body | u32 crc.
+  constexpr size_t kHeader = 4 + 4 + 4;
+  ASSERT_GT(bytes.size(), kHeader + 8 + 4);
+  serialize::ByteReader head{std::span<const uint8_t>{bytes}.subspan(0, kHeader + 8)};
+  ASSERT_TRUE(head.expect_tag("NMOL"));
+  ASSERT_EQ(head.get_u32(), serialize::kFormatVersion);
+  ASSERT_EQ(head.get_u32(), 1u) << "the writer stores one counter";
+  ASSERT_EQ(head.get_u64(), 80u);
 
-  // And the classifier behind the frame still answers identically.
+  serialize::ByteWriter w;
+  w.put_tag("NMOL");
+  w.put_u32(serialize::kFormatVersion);
+  const uint64_t shard_counts[] = {11, 22, 33, 44};
+  w.put_u32(4);
+  for (const uint64_t c : shard_counts) w.put_u64(c);
+  w.put_bytes(std::span<const uint8_t>{bytes}.subspan(
+      kHeader + 8, bytes.size() - kHeader - 8 - 4));
+  const std::vector<uint8_t> four_shard = std::move(w).finish();
+  auto old = serialize::load_online(four_shard, cfg);
+  ASSERT_NE(old, nullptr) << "a 4-counter v3 frame must still load";
+  EXPECT_EQ(old->update_ops(), 110u) << "the counters must be summed";
+
+  // And the classifier behind both frames still answers identically.
   TraceConfig tc;
   tc.n_packets = 2000;
   tc.seed = 53;
-  for (const Packet& p : generate_trace(rules, tc))
-    ASSERT_EQ(re->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+  for (const Packet& p : generate_trace(rules, tc)) {
+    ASSERT_EQ(back->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+    ASSERT_EQ(old->match(p).rule_id, nm.match(p).rule_id) << to_string(p);
+  }
 }
 
 // Regression for the reader-preference starvation bench_updates §(d)
